@@ -82,15 +82,16 @@ class FatalEventTable:
         return counts
 
 
-def assemble_event_frame(fatal: Frame) -> FatalEventTable:
-    """Build the event table from an already-FATAL-filtered frame.
+def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
+    """Extract FATAL records into the pipeline's event frame.
 
-    *fatal* needs only ``event_time`` / ``errcode`` / ``component`` /
-    ``location`` (the lazy pipeline projects down to exactly these
-    before this stage); ``event_id`` is assigned by position in the
-    incoming row order, so the caller must preserve the log's order up
-    to here — both the eager severity filter and the lazy plan do.
+    The severity mask is applied after projecting to the four RAS
+    columns the event frame carries, so it copies four columns rather
+    than all ten. ``event_id`` numbers the FATAL rows in log order.
     """
+    frame = ras_log.frame
+    fatal = frame.select(["event_time", "errcode", "component", "location"])
+    fatal = fatal.filter(frame.mask_eq("severity", "FATAL"))
     n = fatal.num_rows
     mp_lo = np.empty(n, dtype=np.int64)
     mp_hi = np.empty(n, dtype=np.int64)
@@ -110,8 +111,3 @@ def assemble_event_frame(fatal: Frame) -> FatalEventTable:
         }
     )
     return FatalEventTable(frame.sort_by("event_time", "event_id"))
-
-
-def fatal_event_table(ras_log: RasLog) -> FatalEventTable:
-    """Extract FATAL records into the pipeline's event frame."""
-    return assemble_event_frame(ras_log.fatal().frame)

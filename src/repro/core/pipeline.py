@@ -169,12 +169,6 @@ class CoAnalysis:
     #: results, failures and timings come back in the canonical serial
     #: order either way
     study_workers: int = 0
-    #: route ingest → filter → match through a lazy query plan
-    #: (:mod:`repro.query`) instead of eager stage calls. The optimizer
-    #: pushes the FATAL filter's column needs into the scan and fuses
-    #: the severity mask with the projection; the output is bit-identical
-    #: to the eager run (tests/core/test_pipeline_lazy.py)
-    lazy: bool = False
 
     def run(
         self, ras_log: RasLog, job_log: JobLog, source: str = ""
@@ -184,8 +178,6 @@ class CoAnalysis:
         *source* is provenance only (stamped onto the result and shown
         in the report header) — it never affects the analysis.
         """
-        if self.lazy:
-            return self.run_lazy(ras_log, job_log, source=source)
         timer = StageTimer()
         with timer.stage("extract") as st:
             events_raw = fatal_event_table(ras_log)
@@ -209,127 +201,6 @@ class CoAnalysis:
             job_log=job_log,
             filter_stats=self.filters.stats,
             window=_window(ras_log, job_log),
-            timer=timer,
-            source=source,
-        )
-
-    def run_lazy(
-        self, ras, job_log: JobLog, source: str = ""
-    ) -> CoAnalysisResult:
-        """Run the co-analysis with ingest → filter → match expressed as
-        one lazy query plan.
-
-        *ras* is either a :class:`RasLog` (planned as an in-memory
-        scan) or a prebuilt :class:`~repro.query.LazyFrame` over any
-        RAS source — a log file behind the parse cache, a fleet-store
-        table — in which case predicate/column pushdown reaches all the
-        way into that source: the plan needs only five of the ten RAS
-        columns, so a cache hit never unpickles the message dictionary
-        and a store scan never opens the unused column files.
-
-        The kernels themselves (extract, temporal/spatial/causal,
-        match) run unchanged as opaque ``map_batch`` stages, and
-        everything downstream goes through the same :meth:`complete` —
-        the result is bit-identical to :meth:`run`. The analysis window
-        is captured by a tap on the scan leaf (the raw, pre-severity-
-        filter time span), matching :func:`_window`.
-        """
-        from repro.core.events import assemble_event_frame
-        from repro.query.lazyframe import LazyFrame, scan_frame
-        from repro.query.expr import col
-        from repro.query.plan import attach_scan_taps
-
-        timer = StageTimer()
-        ras_lf = ras if isinstance(ras, LazyFrame) else scan_frame(
-            ras.frame, "ras"
-        )
-
-        raw_spans: list[tuple[float, float]] = []
-
-        def tap(frame):
-            if frame.num_rows and "event_time" in frame:
-                t = frame["event_time"]
-                raw_spans.append((float(t.min()), float(t.max())))
-
-        state: dict = {}
-
-        def assemble(frame):
-            with timer.stage("extract") as st:
-                table = assemble_event_frame(frame)
-                state["events_raw"] = table
-                st.rows = len(table)
-            return table.frame
-
-        def make_filter_stage(label, kernel, src, dst):
-            def run_stage(frame):
-                with timer.stage(label) as st:
-                    out = kernel.apply(state[src])
-                    state[dst] = out
-                    st.rows = len(out)
-                return out.frame
-
-            return run_stage
-
-        def match_stage(frame):
-            with timer.stage("match") as st:
-                match = self.matcher.match(
-                    state["causal"], job_log, raw_events=state["temporal"]
-                )
-                state["match"] = match
-                st.rows = match.pairs.num_rows
-            return match.pairs
-
-        lf = (
-            ras_lf.filter(col("severity") == "FATAL")
-            .select(["event_time", "errcode", "component", "location"])
-            .map_batch(assemble, "events.assemble")
-            .map_batch(
-                make_filter_stage(
-                    "filter.temporal",
-                    self.filters.temporal,
-                    "events_raw",
-                    "temporal",
-                ),
-                "filter.temporal",
-            )
-            .map_batch(
-                make_filter_stage(
-                    "filter.spatial",
-                    self.filters.spatial,
-                    "temporal",
-                    "spatial",
-                ),
-                "filter.spatial",
-            )
-            .map_batch(
-                make_filter_stage(
-                    "filter.causal", self.filters.causal, "spatial", "causal"
-                ),
-                "filter.causal",
-            )
-            .map_batch(match_stage, "match")
-        )
-        lf = LazyFrame(attach_scan_taps(lf.plan, tap))
-        lf.collect()
-
-        events_filtered = state["causal"]
-        match = state["match"]
-        self.filters.record(
-            len(state["events_raw"]),
-            state["temporal"],
-            state["spatial"],
-            state["causal"],
-        )
-        assert self.filters.stats is not None
-        timer.extend(match.timings)
-
-        job_spans = [job_log.time_span()] if len(job_log) else []
-        return self.complete(
-            events_filtered=events_filtered,
-            match=match,
-            job_log=job_log,
-            filter_stats=self.filters.stats,
-            window=_window_from_spans(raw_spans + job_spans),
             timer=timer,
             source=source,
         )
@@ -632,29 +503,17 @@ def _first_job_per_event(pairs: Frame) -> Frame:
     return ordered.filter(first_occurrence_mask(ordered["event_id"]))
 
 
-def _window_from_spans(
-    spans: list[tuple[float, float]],
-) -> tuple[float, float]:
-    """``(t_start, duration)`` covering the given ``(min, max)`` spans.
-
-    Shared by the eager path (spans from the log objects) and the lazy
-    path (the RAS span tapped off the scan leaf before the severity
-    filter, so it reflects the *raw* log exactly as :func:`_window`
-    would)."""
-    if not spans:
-        return 0.0, 0.0
-    t0 = min(a for a, _ in spans)
-    t1 = max(b for _, b in spans)
-    return t0, max(t1 - t0, 1.0)
-
-
 def _window(ras_log: RasLog, job_log: JobLog) -> tuple[float, float]:
     spans = []
     if len(ras_log):
         spans.append(ras_log.time_span())
     if len(job_log):
         spans.append(job_log.time_span())
-    return _window_from_spans(spans)
+    if not spans:
+        return 0.0, 0.0
+    t0 = min(a for a, _ in spans)
+    t1 = max(b for _, b in spans)
+    return t0, max(t1 - t0, 1.0)
 
 
 def _same_location_share(job_log: JobLog, interruptions: Frame) -> float:

@@ -134,10 +134,14 @@ def write_manifest(
         lines.extend(metrics.snapshot(since=metrics_since))
     lines.extend(_observation_record(o) for o in observations)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in lines:
-            fh.write(json.dumps(record, default=str) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in lines:
+                fh.write(json.dumps(record, default=str) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -32,7 +32,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -180,9 +179,7 @@ class ParseCache:
                 pass
             raise
 
-    def load(
-        self, key: str, columns: "Sequence[str] | None" = None
-    ) -> tuple[Frame, dict | None] | None:
+    def load(self, key: str) -> tuple[Frame, dict | None] | None:
         """The cached ``(frame, report_state)`` for *key*, or ``None``.
 
         Every failure mode — absent entry, corrupt npz, sidecar/version
@@ -190,23 +187,14 @@ class ParseCache:
         ``ingest.cache.*`` counters) distinguish how the lookup went:
         ``hit``, ``miss`` (no entry), ``stale`` (schema-version drift)
         or ``corrupt`` (entry present but unreadable).
-
-        *columns* restricts a hit to a subset: only the npz members of
-        the requested columns are read/decoded (npz member access is
-        lazy, so unrequested dictionaries are never unpickled), and the
-        returned frame carries the subset in the requested order. A
-        request for a column the entry does not hold is classified
-        ``stale`` — the entry cannot serve this schema. Lookup counters
-        behave exactly as for full loads: one increment per lookup,
-        same statuses.
         """
-        value, status = self._load_classified(key, columns)
+        value, status = self._load_classified(key)
         self.last_status = status
         get_metrics().counter("ingest.cache.lookups", status=status).inc()
         return value
 
     def _load_classified(
-        self, key: str, columns: "Sequence[str] | None" = None
+        self, key: str
     ) -> tuple[tuple[Frame, dict | None] | None, str]:
         npz_path, json_path = self._paths(key)
         if not json_path.exists():
@@ -222,12 +210,6 @@ class ParseCache:
             return None, "corrupt"
         if sidecar.get("version") != PARSE_SCHEMA_VERSION:
             return None, "stale"
-        wanted: set[str] | None = None
-        if columns is not None:
-            wanted = set(columns)
-            held = {name for name, _enc in sidecar["columns"]}
-            if not wanted <= held:
-                return None, "stale"
         # Stage 2: the columns. A truncated npz (partial atomic-write
         # survivor, disk-full artifact) can fail anywhere — zip central
         # directory gone, a member cut short, pickled values garbled —
@@ -242,8 +224,6 @@ class ParseCache:
             n_rows = None
             with np.load(npz_path, allow_pickle=True) as npz:
                 for j, (name, encoding) in enumerate(sidecar["columns"]):
-                    if wanted is not None and name not in wanted:
-                        continue
                     if encoding == "dict":
                         values = npz[f"{j}.values"]
                         codes = npz[f"{j}.codes"]
@@ -261,8 +241,6 @@ class ParseCache:
                     elif len(column) != n_rows:
                         return None, "corrupt"
                     data[name] = column
-            if columns is not None:
-                data = {name: data[name] for name in columns}
             return (Frame(data), sidecar["report"]), "hit"
         except Exception:
             return None, "corrupt"

@@ -243,7 +243,6 @@ class ShardedDataset:
         table: str,
         time_range: tuple[float, float] | None = None,
         mmap: bool = True,
-        columns: "list[str] | tuple[str, ...] | None" = None,
     ) -> Frame:
         """Reassemble one machine's *table*, pruned to *time_range*.
 
@@ -254,12 +253,6 @@ class ShardedDataset:
         unopened, and surviving shards are row-filtered on the partition
         time column, so the result equals the batch frame filtered the
         same way.
-
-        *columns* projects the scan: only the named column files are
-        opened/decoded (projection pushdown, in the requested order).
-        When a range is given but the partition time column is not
-        requested, that one extra column is loaded for the row filter
-        and then dropped from the result.
         """
         if table not in TIME_COLUMN:
             raise ValueError(f"unknown table {table!r}")
@@ -268,22 +261,6 @@ class ShardedDataset:
             raise StoreError(f"no {table!r} shards for machine {machine!r}")
         metrics = get_metrics()
         time_col = TIME_COLUMN[table]
-        requested: list[str] | None = None
-        wanted: frozenset[str] | None = None
-        if columns is not None:
-            requested = list(columns)
-            known = {name for name, _enc, _dt in shards[0].columns}
-            unknown = [c for c in requested if c not in known]
-            if unknown:
-                raise StoreError(
-                    f"unknown columns {unknown} for {machine!r}/{table}; "
-                    f"have {sorted(known)}"
-                )
-            wanted = frozenset(requested)
-            if time_range is not None:
-                # the row filter needs the partition time even when the
-                # caller did not ask for it; load it, drop it afterwards
-                wanted |= {time_col}
         parts: list[Frame] = []
         opened = pruned = 0
         with maybe_span("store.scan", machine=machine, table=table) as sp:
@@ -302,10 +279,7 @@ class ShardedDataset:
                     "store.scan.shard", shard=shard.path
                 ) as shard_sp:
                     data = decode_columns(
-                        self.root / shard.path,
-                        shard.columns,
-                        mmap=mmap,
-                        names=wanted,
+                        self.root / shard.path, shard.columns, mmap=mmap
                     )
                     part = Frame(data)
                     if time_range is not None:
@@ -313,24 +287,16 @@ class ShardedDataset:
                         part = part.filter(
                             (t >= time_range[0]) & (t < time_range[1])
                         )
-                    if requested is not None:
-                        part = part.select(requested)
                     if shard_sp is not None:
                         shard_sp.rows = part.num_rows
                 parts.append(part)
             if not parts:
                 # everything pruned: synthesize a typed empty frame from
                 # the manifest column spec, still without touching disk
-                spec = {
-                    name: dtype for name, _enc, dtype in shards[0].columns
-                }
-                names = (
-                    requested if requested is not None else list(spec)
-                )
                 out = Frame(
                     {
-                        name: np.array([], dtype=np.dtype(spec[name]))
-                        for name in names
+                        name: np.array([], dtype=np.dtype(dtype))
+                        for name, _enc, dtype in shards[0].columns
                     }
                 )
             else:

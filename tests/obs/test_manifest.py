@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core.observations import Observation
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
@@ -33,6 +35,15 @@ def _full_manifest(tmp_path):
         observations=[obs],
     )
     return path
+
+
+class TestAtomicWrite:
+    def test_failed_replace_removes_temp_file(self, tmp_path):
+        target = tmp_path / "run.jsonl"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_manifest(target, config={"scale": 0.1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]
 
 
 class TestRoundtrip:

@@ -219,9 +219,13 @@ class TestEndToEnd:
         rc = main(["--timings", "demo", "--scale", "0.01", "--seed", "5"])
         assert rc == 0
         out = capsys.readouterr().out
-        # --timings adds the full table with the filter.* chain and
-        # match.* kernel breakdowns
+        # --timings adds the full table with the simulate stage and the
+        # filter.* chain and match.* kernel breakdowns
         assert "stage timings (full)" in out
+        full = out[out.index("stage timings (full)"):]
+        assert any(
+            line.split()[:1] == ["simulate"] for line in full.splitlines()
+        )
         assert "match.join" in out
         assert "filter.temporal" in out
         assert "filter.spatial" in out
@@ -304,6 +308,106 @@ class TestResilienceEndToEnd:
         err = capsys.readouterr().err
         assert "ingestion aborted" in err
         assert "max_bad_records" in err
+
+
+def _exit_code(argv) -> int:
+    """main's exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestInputErrors:
+    """Bad input exits 2 with a one-line error, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("bad_input")
+        assert main(
+            ["simulate", "--out-dir", str(tmp), "--scale", "0.01",
+             "--seed", "5"]
+        ) == 0
+        return tmp
+
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(
+            ["analyze", "--ras", "{missing}", "--job", "{job}"],
+            "cannot read {missing}: No such file or directory",
+            id="analyze-missing-ras",
+        ),
+        pytest.param(
+            ["analyze", "--ras", "{ras}", "--job", "{missing}"],
+            "cannot read {missing}: No such file or directory",
+            id="analyze-missing-job",
+        ),
+        pytest.param(
+            ["analyze", "--ras", "{missing}", "--job", "{job}",
+             "--cache-dir", "{tmp}/cache"],
+            "cannot read {missing}: No such file or directory",
+            id="analyze-missing-ras-cached",
+        ),
+        pytest.param(
+            ["stream", "--ras", "{ras}", "--job", "{missing}"],
+            "cannot read {missing}: No such file or directory",
+            id="stream-missing-job",
+        ),
+        pytest.param(
+            ["analyze", "--ras", "{ras}", "--job", "{job}",
+             "--telemetry-out", "{tmp}"],
+            "--telemetry-out {tmp} is a directory",
+            id="analyze-telemetry-dir",
+        ),
+        pytest.param(
+            ["simulate", "--out-dir", "{tmp}", "--scale", "0"],
+            "scale must be in (0, 1], got 0",
+            id="simulate-scale-0",
+        ),
+        pytest.param(
+            ["demo", "--scale=-0.1"],
+            "scale must be in (0, 1], got -0.1",
+            id="demo-scale-negative",
+        ),
+        pytest.param(
+            ["fleet", "--scale", "1.5"],
+            "scale must be in (0, 1], got 1.5",
+            id="fleet-scale-above-1",
+        ),
+        pytest.param(
+            ["stream", "--scale", "nan"],
+            "scale must be in (0, 1], got nan",
+            id="stream-scale-nan",
+        ),
+    ])
+    def test_exit_2_with_one_line(
+        self, trace, tmp_path, capsys, argv, error
+    ):
+        names = {
+            "ras": trace / "ras.log",
+            "job": trace / "job.log",
+            "missing": trace / "missing.log",
+            "tmp": tmp_path,
+        }
+        argv = [arg.format(**names) for arg in argv]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if "--scale" in " ".join(argv):
+            # argparse's own format: usage, then the one error line
+            assert lines[-1].endswith(error.format(**names))
+        else:
+            assert lines == [error.format(**names)]
+
+    def test_telemetry_dir_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "telemetry"
+        out.mkdir()
+        assert main(
+            ["demo", "--scale", "0.01", "--telemetry-out", str(out)]
+        ) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "telemetry.tmp").exists()
+        assert list(out.iterdir()) == []
 
 
 class TestDaemonParser:
