@@ -241,45 +241,52 @@ class LogCorruptor:
         """
         available = list(range(n))
         rng.shuffle(available)
-        available_set = set(available)
-        protected: set[int] = set()  # rows that must stay clean
+        available_set = set(available)  # rows still free to pick
         damage: dict[int, DefectClass] = {}
         inserts: list[int] = []
 
-        def reserve(row: int) -> None:
-            available_set.discard(row)
-            protected.add(row)
+        def first(pos: int, ok) -> int:
+            """Index of the first row at or after *pos* passing *ok*.
+
+            Each loop below only shrinks ``available_set`` and grows
+            ``damage``, so a row that fails its loop's test fails it for
+            good and the scan resumes where the last pick was found.
+            """
+            while pos < n and not ok(available[pos]):
+                pos += 1
+            return pos
 
         # place the order-sensitive classes first
+        pos = 0
         for cls in (c for c in assign if c is DefectClass.OUT_OF_ORDER_TIME):
-            target = next(
-                (
-                    i for i in available
-                    if i in available_set
-                    and i >= 1
-                    and (i - 1) not in damage
-                ),
-                None,
+            pos = first(
+                pos,
+                lambda i: i in available_set and i >= 1 and (i - 1) not in damage,
             )
-            if target is None:
+            if pos == n:
                 continue
+            target = available[pos]
             available_set.discard(target)
             damage[target] = cls
-            reserve(target - 1)
+            available_set.discard(target - 1)  # keep the predecessor clean
+        pos = 0
         for cls in (c for c in assign if c is DefectClass.DUPLICATE_RECID):
-            source = next((i for i in available if i in available_set), None)
-            if source is None:
+            pos = first(pos, available_set.__contains__)
+            if pos == n:
                 continue
-            reserve(source)
+            source = available[pos]
+            available_set.discard(source)
             inserts.append(source)
+        # same test as the loop above, so this one resumes where it ended
         for cls in assign:
             if cls in (
                 DefectClass.OUT_OF_ORDER_TIME, DefectClass.DUPLICATE_RECID
             ):
                 continue
-            target = next((i for i in available if i in available_set), None)
-            if target is None:
+            pos = first(pos, available_set.__contains__)
+            if pos == n:
                 continue
+            target = available[pos]
             available_set.discard(target)
             damage[target] = cls
         return damage, inserts

@@ -21,6 +21,7 @@ and whole-machine special cases.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -171,10 +172,10 @@ class PartitionPool:
     @staticmethod
     def fit_size(requested_midplanes: int) -> int:
         """Smallest legal partition size holding *requested_midplanes*."""
-        for size in ALLOWED_PARTITION_SIZES:
-            if size >= requested_midplanes:
-                return size
-        raise ValueError(f"no partition holds {requested_midplanes} midplanes")
+        i = bisect_left(ALLOWED_PARTITION_SIZES, requested_midplanes)
+        if i == len(ALLOWED_PARTITION_SIZES):
+            raise ValueError(f"no partition holds {requested_midplanes} midplanes")
+        return ALLOWED_PARTITION_SIZES[i]
 
 
 def _enumerate_partitions(size: int) -> Iterator[Partition]:

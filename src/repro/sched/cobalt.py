@@ -38,10 +38,7 @@ class _RunningJob:
     submission: JobSubmission
     partition: Partition
     start: float
-    planned_end: float
     end_token: object
-    #: pre-resolved fate: None = natural completion
-    fate: tuple[str, FaultType, Breakage | None] | None = None
 
 
 @dataclass
@@ -125,7 +122,8 @@ class CobaltSimulator:
         self._queue = EventQueue()
         self._free = np.ones(NUM_MIDPLANES, dtype=bool)
         self._last_release = np.full(NUM_MIDPLANES, -np.inf)
-        self._waiting: list[JobSubmission] = []
+        #: queued jobs with their partition fit size, in arrival order
+        self._waiting: list[tuple[int, JobSubmission]] = []
         self._running: dict[int, _RunningJob] = {}
         self._truth = GroundTruth()
         self._job_rows: list[JobRecord] = []
@@ -137,7 +135,6 @@ class CobaltSimulator:
         self._consecutive: dict[str, int] = {}
         #: partition of the previous run per executable (affinity)
         self._last_partition: dict[str, Partition] = {}
-        self._queued_time: dict[int, float] = {}
         self._retry_same = 0
         self._retry_total = 0
         self._unscheduled = 0
@@ -179,13 +176,23 @@ class CobaltSimulator:
     # event handlers
 
     def _on_submit(self, now: float, sub: JobSubmission) -> None:
-        self._waiting.append(sub)
+        fit = self.policy.pool.fit_size(sub.size_midplanes)
+        self._waiting.append((fit, sub))
         self._try_schedule(now)
 
     def _try_schedule(self, now: float) -> None:
-        """FIFO-with-skip allocation over the waiting queue."""
+        """FIFO-with-skip allocation over the waiting queue.
+
+        A fit size that found no partition is not asked again in the
+        same scan: ``_free`` only shrinks while the scan runs, and a
+        failed ``choose`` draws no random numbers, so the skipped calls
+        would have failed too without touching the generator.
+        """
         scheduled: list[int] = []
-        for i, sub in enumerate(self._waiting[: self.max_queue_scan]):
+        failed: set[int] = set()
+        for i, (fit, sub) in enumerate(self._waiting[: self.max_queue_scan]):
+            if fit in failed:
+                continue
             preferred = None
             if sub.kind == "retry":
                 preferred = self._last_partition.get(sub.executable)
@@ -197,6 +204,7 @@ class CobaltSimulator:
                 now=now,
             )
             if partition is None:
+                failed.add(fit)
                 continue
             if sub.kind == "retry":
                 self._retry_total += 1
@@ -212,7 +220,6 @@ class CobaltSimulator:
         job_id = next(self._job_ids)
         self._job_partitions[job_id] = partition
         self._last_partition[sub.executable] = partition
-        self._queued_time.setdefault(job_id, sub.submit_time)
 
         fate = self._resolve_fate(now, sub, partition)
         if fate is None:
@@ -234,7 +241,6 @@ class CobaltSimulator:
             submission=sub,
             partition=partition,
             start=now,
-            planned_end=now + sub.planned_runtime,
             end_token=token,
         )
 

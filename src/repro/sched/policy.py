@@ -18,10 +18,15 @@ previous partition with probability ``affinity`` when it is free — the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.machine.partition import Partition, PartitionPool
+from repro.machine.partition import (
+    ALLOWED_PARTITION_SIZES,
+    Partition,
+    PartitionPool,
+)
 
 #: preference regions by job size in midplanes
 SMALL_MAX = 2
@@ -31,12 +36,52 @@ MEDIUM_REGIONS = ((4, 32), (64, 80))
 WIDE_REGIONS = ((32, 64),)
 
 
+@dataclass(frozen=True)
+class _FitTable:
+    """The candidates of one fit size, best region score first.
+
+    ``parts`` is sorted by region score, keeping the pool's start order
+    within a score; ``starts`` and ``ends`` bound each candidate for the
+    prefix-sum freeness test, and ``level_end[k]`` is the position just
+    past the last candidate sharing candidate ``k``'s score.
+    """
+
+    parts: list[Partition]
+    starts: np.ndarray
+    ends: np.ndarray
+    level_end: np.ndarray
+
+    @classmethod
+    def build(cls, candidates: Sequence[Partition], fit: int) -> "_FitTable":
+        def score(p: Partition) -> int:
+            return IntrepidPolicy._region_score(p, fit)
+
+        # a stable sort keeps start order within a score, the order
+        # ``choose`` draws tied candidates in
+        parts = sorted(candidates, key=score)
+        scores = [score(p) for p in parts]
+        starts = np.array([p.start for p in parts], dtype=np.intp)
+        return cls(
+            parts=parts,
+            starts=starts,
+            ends=starts + fit,
+            level_end=np.searchsorted(scores, scores, side="right"),
+        )
+
+
 @dataclass
 class IntrepidPolicy:
     """Chooses a free partition for a job request."""
 
     pool: PartitionPool = field(default_factory=PartitionPool)
     affinity: float = 0.75
+
+    def __post_init__(self):
+        #: fit size -> its candidate table; depends only on the pool
+        self._tables = {
+            fit: _FitTable.build(self.pool.candidates(fit), fit)
+            for fit in ALLOWED_PARTITION_SIZES
+        }
 
     def choose(
         self,
@@ -50,29 +95,34 @@ class IntrepidPolicy:
 
         *free* is the boolean availability vector over the 80 midplanes.
         *preferred* (the partition of the job's previous run) wins with
-        probability ``affinity`` whenever it is entirely free. *now* is
-        accepted for interface compatibility with time-aware policies
+        probability ``affinity`` whenever it is entirely free. Otherwise
+        the pick is uniform over the free candidates with the best
+        region score. *now* is accepted for interface compatibility with
+        time-aware policies
         (:class:`repro.sched.failure_aware.FailureAwarePolicy`).
+
+        A ``None`` result draws no random numbers: a free *preferred*
+        is itself a candidate, so the candidate list cannot be empty.
         """
         fit = self.pool.fit_size(size_midplanes)
+        # busy[j] counts the busy midplanes below j, so [a, b) is free
+        # exactly when busy[b] == busy[a]
+        busy = np.zeros(len(free) + 1, dtype=np.intp)
+        (~free).cumsum(out=busy[1:])
         if (
             preferred is not None
             and preferred.size == fit
-            and self._is_free(preferred, free)
+            and busy[preferred.start + fit] == busy[preferred.start]
             and rng.random() < self.affinity
         ):
             return preferred
-        candidates = [p for p in self.pool.candidates(fit) if self._is_free(p, free)]
-        if not candidates:
+        table = self._tables[fit]
+        ok = (busy[table.ends] == busy[table.starts]).nonzero()[0]
+        if not len(ok):
             return None
-        scores = np.array([self._region_score(p, fit) for p in candidates])
-        best = scores.min()
-        best_candidates = [p for p, s in zip(candidates, scores) if s == best]
-        return best_candidates[int(rng.integers(0, len(best_candidates)))]
-
-    @staticmethod
-    def _is_free(partition: Partition, free: np.ndarray) -> bool:
-        return bool(free[partition.start : partition.start + partition.size].all())
+        # the free candidates of the best score lead ``ok``, in start order
+        n_best = int(ok.searchsorted(table.level_end[ok[0]]))
+        return table.parts[ok[int(rng.integers(0, n_best))]]
 
     @staticmethod
     def _region_score(partition: Partition, size: int) -> int:

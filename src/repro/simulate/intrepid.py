@@ -8,6 +8,7 @@ from repro.faults.injector import GroundTruth
 from repro.logs.job import JobLog
 from repro.logs.ras import RasLog
 from repro.machine.partition import Partition
+from repro.obs.trace import maybe_span
 from repro.sched.cobalt import SimulationOutput
 from repro.simulate.calibration import CalibrationProfile
 from repro.workload.population import Population
@@ -46,16 +47,23 @@ class IntrepidSimulation:
         """Simulate workload, scheduling, faults, and RAS emission.
 
         Deterministic for a fixed profile (single seeded generator runs
-        every stage in a fixed order).
+        every stage in a fixed order). Under an active tracer the stages
+        are the spans ``simulate.workload``, ``simulate.sched`` and
+        ``simulate.faults``.
         """
         p = self.profile
         rng = p.rng()
-        population = p.make_population(rng)
-        submissions = p.make_sampler().generate(population, rng)
-        output: SimulationOutput = p.make_simulator(population).run(submissions, rng)
-        ras_log = p.make_emitter().emit(
-            output.ground_truth.incidents, output.job_partitions, rng
-        )
+        with maybe_span("simulate.workload"):
+            population = p.make_population(rng)
+            submissions = p.make_sampler().generate(population, rng)
+        with maybe_span("simulate.sched"):
+            output: SimulationOutput = p.make_simulator(population).run(
+                submissions, rng
+            )
+        with maybe_span("simulate.faults"):
+            ras_log = p.make_emitter().emit(
+                output.ground_truth.incidents, output.job_partitions, rng
+            )
         return IntrepidTrace(
             ras_log=ras_log,
             job_log=output.job_log,

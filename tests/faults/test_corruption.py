@@ -1,5 +1,6 @@
 """Unit tests for the seeded log corruptor."""
 
+import numpy as np
 import pytest
 
 from repro.faults.corruption import (
@@ -157,3 +158,62 @@ class TestJobKind:
         ).corrupt_text(job_path.read_text())
         assert set(result.ground_truth) == {DefectClass.BLANK_LINE}
         assert result.num_injected == 10
+
+
+def _plan_reference(assign, n, rng):
+    """The quadratic planner ``LogCorruptor._plan`` replaced.
+
+    Every pick rescans the shuffled rows from the start; kept here as
+    the oracle for the resuming scans.
+    """
+    available = list(range(n))
+    rng.shuffle(available)
+    available_set = set(available)
+    damage = {}
+    inserts = []
+    for cls in (c for c in assign if c is DefectClass.OUT_OF_ORDER_TIME):
+        target = next(
+            (
+                i for i in available
+                if i in available_set and i >= 1 and (i - 1) not in damage
+            ),
+            None,
+        )
+        if target is None:
+            continue
+        available_set.discard(target)
+        damage[target] = cls
+        available_set.discard(target - 1)
+    for cls in (c for c in assign if c is DefectClass.DUPLICATE_RECID):
+        source = next((i for i in available if i in available_set), None)
+        if source is None:
+            continue
+        available_set.discard(source)
+        inserts.append(source)
+    for cls in assign:
+        if cls in (DefectClass.OUT_OF_ORDER_TIME, DefectClass.DUPLICATE_RECID):
+            continue
+        target = next((i for i in available if i in available_set), None)
+        if target is None:
+            continue
+        available_set.discard(target)
+        damage[target] = cls
+    return damage, inserts
+
+
+class TestPlanner:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_plan_matches_reference(self, seed):
+        """Resuming scans pick exactly what full rescans picked."""
+        draw = np.random.default_rng(seed)
+        n = int(draw.integers(0, 60))
+        classes = list(RAS_DEFECT_CLASSES)
+        # up to twice as many defects as rows, so tiny logs run dry
+        assign = [
+            classes[int(k)]
+            for k in draw.integers(0, len(classes), int(draw.integers(0, 2 * n + 2)))
+        ]
+        corruptor = LogCorruptor(seed=seed)
+        got = corruptor._plan(assign, n, np.random.default_rng(seed))
+        want = _plan_reference(assign, n, np.random.default_rng(seed))
+        assert got == want

@@ -71,9 +71,18 @@ def test_groupby_sizes_sum_to_rows(f):
 
 @given(frames())
 def test_groupby_sum_matches_total(f):
+    """Group sums add up to the total within float-summation error.
+
+    Summing per group and then across groups rounds differently from
+    one pass over the column, and values near +-3.4e38 can cancel to a
+    total far smaller than the rounding error, so no relative tolerance
+    on the total holds. Each order is off by at most about n*eps/2 of
+    the sum of magnitudes, which bounds the difference.
+    """
     out = f.groupby("k").agg(s=("v", "sum"))
-    if f.num_rows:
-        assert np.isclose(out["s"].sum(), f["v"].sum())
+    v = np.asarray(f["v"], dtype=float)
+    error = abs(out["s"].sum() - v.sum())
+    assert error <= len(v) * np.finfo(float).eps * np.abs(v).sum()
 
 
 @given(frames())

@@ -33,6 +33,14 @@ class TestTelemetryOut:
         assert config["scale"] == 0.02
         assert config["command"] == "demo"
 
+    def test_simulate_stages_are_child_spans(self, demo_manifest):
+        spans = read_manifest(demo_manifest)["spans"]
+        (simulate,) = [s for s in spans if s["name"] == "simulate"]
+        children = {s["name"] for s in spans if s["parent"] == simulate["id"]}
+        assert children == {
+            "simulate.workload", "simulate.sched", "simulate.faults"
+        }
+
     def test_path_announced(self, demo_manifest, capsys, tmp_path):
         out = tmp_path / "r.jsonl"
         assert main(["demo", "--scale", "0.02",

@@ -7,7 +7,7 @@ from repro.faults.apperrors import ApplicationErrorModel
 from repro.faults.catalog import catalog_by_errcode
 from repro.faults.injector import IncidentCause
 from repro.faults.processes import SystemFaultProcess
-from repro.sched import CobaltSimulator
+from repro.sched import CobaltSimulator, IntrepidPolicy
 from repro.workload.sampler import JobSubmission
 
 DAY = 86400.0
@@ -240,3 +240,38 @@ class TestInvariants:
         a, b = run(42), run(42)
         assert list(a.job_log.frame["end_time"]) == list(b.job_log.frame["end_time"])
         assert len(a.ground_truth.incidents) == len(b.ground_truth.incidents)
+
+
+class CountingPolicy(IntrepidPolicy):
+    """Records the fit size of every ``choose`` call, by scan time."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = []
+
+    def choose(self, size_midplanes, free, rng, preferred=None, now=0.0):
+        self.calls.append((now, self.pool.fit_size(size_midplanes)))
+        return super().choose(size_midplanes, free, rng, preferred, now)
+
+
+class TestFailedFitMemo:
+    def test_one_choose_per_failed_fit_size_per_scan(self):
+        policy = CountingPolicy()
+        subs = [
+            submission(0.0, exe="/whole", size=80, runtime=5000.0),
+            submission(10.0, exe="/a", size=32),
+            submission(20.0, exe="/b", size=24),  # also fits 32
+            submission(30.0, exe="/c", size=32),
+            submission(40.0, exe="/d", size=1),
+        ]
+        out = make_sim(policy=policy).run(subs, np.random.default_rng(1))
+        scans = {}
+        for now, fit in policy.calls:
+            scans.setdefault(now, []).append(fit)
+        assert scans[10.0] == [32]
+        assert scans[20.0] == [32]
+        assert scans[30.0] == [32]
+        assert scans[40.0] == [32, 1]
+        # once the machine drains, every queued job gets its own call
+        assert scans[5000.0] == [32, 32, 32, 1]
+        assert out.job_log.num_jobs == 5

@@ -52,3 +52,25 @@ class TestCancellation:
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
+
+
+class TestTupleHeap:
+    def test_equal_times_pop_in_insertion_order_with_unorderable_payloads(self):
+        q = EventQueue()
+        payloads = [object(), {"a": 1}, object(), [2], None]
+        for i, payload in enumerate(payloads):
+            q.push(1.0, f"k{i}", payload)
+        q.push(0.5, "early", object())
+        assert q.pop().kind == "early"
+        popped = [q.pop() for _ in payloads]
+        assert [e.kind for e in popped] == [f"k{i}" for i in range(5)]
+        assert all(e.payload is p for e, p in zip(popped, payloads))
+
+    def test_cancelled_tie_is_skipped_in_order(self):
+        q = EventQueue()
+        q.push(1.0, "a", object())
+        token = q.push(1.0, "b", object())
+        q.push(1.0, "c", object())
+        q.cancel(token)
+        assert [q.pop().kind, q.pop().kind] == ["a", "c"]
+        assert q.pop() is None
