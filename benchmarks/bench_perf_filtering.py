@@ -25,8 +25,12 @@ from repro.core.matching_reference import ReferenceInterruptionMatcher
 from repro.frame import Frame
 from repro.logs.job import JobLog
 from repro.machine.partition import PartitionPool
-from repro.obs import record_bench
-from repro.perf import render_timings
+from repro.obs import Tracer, record_bench
+from repro.viz.trace import render_span_tree
+
+
+def _span_tree(tracer: Tracer, title: str) -> str:
+    return render_span_tree([s.as_record() for s in tracer.spans], title)
 
 
 def make_stream(n: int, n_types: int, n_locations: int, seed: int = 0):
@@ -98,8 +102,10 @@ def test_filter_speedup_10x(filter_10x):
     ref = ref_chain.apply(filter_10x)
     t_ref = time.perf_counter() - t0
 
+    tracer = Tracer()
     t0 = time.perf_counter()
-    vec = vec_chain.apply(filter_10x)
+    with tracer.activate(root=None):
+        vec = vec_chain.apply(filter_10x)
     t_vec = time.perf_counter() - t0
 
     for col in ref.frame.columns:
@@ -110,7 +116,7 @@ def test_filter_speedup_10x(filter_10x):
     print(f"\nreference: {t_ref:.3f}s  vectorized: {t_vec:.3f}s  "
           f"speedup: {t_ref / t_vec:.1f}x "
           f"({ref_chain.stats.raw} -> {ref_chain.stats.after_causal} events)")
-    print(render_timings(vec_chain.timings, title="filter chain stage timings"))
+    print(_span_tree(tracer, "filter chain stage timings"))
     record_bench(
         "perf_filtering", "filter_speedup_10x", t_ref / t_vec,
         reference_s=t_ref, vectorized_s=t_vec,
@@ -232,8 +238,10 @@ def test_match_speedup_10x(match_10x):
     ref = ReferenceInterruptionMatcher().match(ev, jl, raw_events=ev)
     t_ref = time.perf_counter() - t0
 
+    tracer = Tracer()
     t0 = time.perf_counter()
-    vec = InterruptionMatcher().match(ev, jl, raw_events=ev)
+    with tracer.activate(root=None):
+        vec = InterruptionMatcher().match(ev, jl, raw_events=ev)
     t_vec = time.perf_counter() - t0
 
     for col in ref.pairs.columns:
@@ -243,7 +251,7 @@ def test_match_speedup_10x(match_10x):
     print(f"\nreference: {t_ref:.3f}s  vectorized: {t_vec:.3f}s  "
           f"speedup: {t_ref / t_vec:.1f}x "
           f"({vec.pairs.num_rows} pairs)")
-    print(render_timings(vec.timings, title="match kernel stage timings"))
+    print(_span_tree(tracer, "match kernel stage timings"))
     record_bench(
         "perf_filtering", "match_speedup_10x", t_ref / t_vec,
         reference_s=t_ref, vectorized_s=t_vec,

@@ -51,7 +51,9 @@ own telemetry — the hierarchical span tree, the metrics registry and
 the observation verdicts — as a schema-versioned JSONL manifest (see
 :mod:`repro.obs`); ``trace`` renders such a manifest as an indented
 span tree plus a hot-stage summary, or schema-checks it with
-``--validate``.
+``--validate``. ``--timings`` (before any subcommand) prints the same
+span tree after the command's output. :func:`main` owns the run's one
+tracer; commands only open spans and hand over their observations.
 
 ``daemon --ops-dir`` turns on the live telemetry plane
 (:mod:`repro.obs.live`): windowed metric samples, per-cycle heartbeats
@@ -91,7 +93,7 @@ from repro.logs import (
     write_ras_log,
 )
 from repro.logs.quarantine import INGEST_MODES
-from repro.perf import StageTimer, render_timings
+from repro.obs.trace import Tracer, maybe_span
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 
@@ -266,7 +268,7 @@ class _TelemetryRun:
     """
 
     def __init__(self, out: Path, config: dict):
-        from repro.obs import Tracer, get_metrics
+        from repro.obs import get_metrics
 
         self.out = out
         self.config = config
@@ -274,9 +276,6 @@ class _TelemetryRun:
         self.metrics = get_metrics()
         self._baseline = self.metrics.mark()
         self.observations: list = []
-
-    def activate(self):
-        return self.tracer.activate(root="run")
 
     def finish(self) -> Path:
         from repro.obs import write_manifest
@@ -292,8 +291,11 @@ class _TelemetryRun:
 
 
 def _telemetry(args: argparse.Namespace) -> _TelemetryRun | None:
-    """The run's telemetry context, or None when not requested."""
-    out = getattr(args, "telemetry_out", None)
+    """The run's telemetry context, or None when not requested (or the
+    subcommand takes no ``--telemetry-out``)."""
+    if not hasattr(args, "telemetry_out"):
+        return None
+    out = args.telemetry_out
     if not out:
         directory = os.environ.get("REPRO_TELEMETRY_DIR")
         if not directory:
@@ -309,6 +311,12 @@ def _telemetry(args: argparse.Namespace) -> _TelemetryRun | None:
     return _TelemetryRun(Path(out), config)
 
 
+def _observe(args: argparse.Namespace, observations) -> None:
+    """Hand the run's observation verdicts to its telemetry manifest."""
+    if args.telemetry is not None:
+        args.telemetry.observations = list(observations)
+
+
 def _pipeline_from_args(args: argparse.Namespace) -> CoAnalysis:
     return CoAnalysis(
         filters=FilterChain(
@@ -322,24 +330,16 @@ def _pipeline_from_args(args: argparse.Namespace) -> CoAnalysis:
 
 
 def _run_analysis(
-    args: argparse.Namespace, ras_log, job_log, extra_timings=(),
-    telemetry: _TelemetryRun | None = None, source: str = "",
-) -> int:
+    args: argparse.Namespace, ras_log, job_log, source: str = ""
+) -> None:
     result = _pipeline_from_args(args).run(ras_log, job_log, source=source)
-    if telemetry is not None:
-        telemetry.observations = list(result.observations)
+    _observe(args, result.observations)
     print(result.report())
     for label, log in (("RAS", ras_log), ("job", job_log)):
         report = getattr(log, "quarantine", None)
         if report is not None:
             print()
             print(report.render(label))
-    if args.timings:
-        print()
-        print(render_timings(
-            tuple(extra_timings) + result.timings,
-            title="stage timings (full)",
-        ))
 
 
 def _unreadable(exc: OSError) -> int:
@@ -353,18 +353,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = CalibrationProfile(seed=args.seed, scale=args.scale)
-    t0 = time.time()
-    trace = IntrepidSimulation(profile).run()
+    t0 = time.perf_counter()
+    trace = _simulate(profile)
     ras_path = out_dir / "ras.log"
     job_path = out_dir / "job.log"
-    write_ras_log(trace.ras_log, ras_path)
-    write_job_log(trace.job_log, job_path)
+    with maybe_span("write.ras") as sp:
+        write_ras_log(trace.ras_log, ras_path)
+        sp.rows = len(trace.ras_log)
+    with maybe_span("write.job") as sp:
+        write_job_log(trace.job_log, job_path)
+        sp.rows = trace.job_log.num_jobs
     print(
         f"wrote {ras_path} ({len(trace.ras_log)} records) and "
         f"{job_path} ({trace.job_log.num_jobs} jobs) in "
-        f"{time.time() - t0:.1f}s"
+        f"{time.perf_counter() - t0:.1f}s"
     )
     return 0
+
+
+def _simulate(profile: CalibrationProfile):
+    """One synthetic trace under a ``simulate`` span."""
+    with maybe_span("simulate") as sp:
+        trace = IntrepidSimulation(profile).run()
+        sp.rows = len(trace.ras_log) + trace.job_log.num_jobs
+    return trace
 
 
 def _ingest_note(log, workers: int) -> str:
@@ -383,49 +395,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         from repro.parallel import ParseCache
 
         cache = ParseCache(args.cache_dir)
-    telemetry = _telemetry(args)
-    timer = StageTimer()
-    with telemetry.activate() if telemetry else nullcontext():
-        try:
-            with timer.stage("ingest.ras") as st:
-                ras_log = read_ras_log(
-                    args.ras, policy=policy, workers=args.workers,
-                    cache=cache,
-                )
-                st.rows = len(ras_log)
-                st.note = _ingest_note(ras_log, args.workers)
-            with timer.stage("ingest.job") as st:
-                job_log = read_job_log(
-                    args.job, policy=policy, workers=args.workers,
-                    cache=cache,
-                )
-                st.rows = job_log.num_jobs
-                st.note = _ingest_note(job_log, args.workers)
-        except IngestAbortError as exc:
-            print(f"ingestion aborted: {exc}", file=sys.stderr)
-            print(exc.report.render(), file=sys.stderr)
-            return 2
-        except IngestError as exc:
-            print(
-                f"ingestion rejected a bad record: {exc}\n"
-                "(rerun with --on-bad-record quarantine to divert bad "
-                "records and continue)",
-                file=sys.stderr,
+    try:
+        with maybe_span("ingest.ras") as sp:
+            ras_log = read_ras_log(
+                args.ras, policy=policy, workers=args.workers, cache=cache
             )
-            return 2
-        except OSError as exc:
-            return _unreadable(exc)
-        if cache is not None:
-            print(
-                f"parse cache: ras={ras_log.cache_status}"
-                f" job={job_log.cache_status}"
+            sp.rows = len(ras_log)
+            sp.note = _ingest_note(ras_log, args.workers)
+        with maybe_span("ingest.job") as sp:
+            job_log = read_job_log(
+                args.job, policy=policy, workers=args.workers, cache=cache
             )
-        _run_analysis(
-            args, ras_log, job_log, extra_timings=timer.timings,
-            telemetry=telemetry, source=f"{args.ras} + {args.job}",
+            sp.rows = job_log.num_jobs
+            sp.note = _ingest_note(job_log, args.workers)
+    except IngestAbortError as exc:
+        print(f"ingestion aborted: {exc}", file=sys.stderr)
+        print(exc.report.render(), file=sys.stderr)
+        return 2
+    except IngestError as exc:
+        print(
+            f"ingestion rejected a bad record: {exc}\n"
+            "(rerun with --on-bad-record quarantine to divert bad "
+            "records and continue)",
+            file=sys.stderr,
         )
-    if telemetry is not None:
-        print(f"telemetry manifest: {telemetry.finish()}")
+        return 2
+    except OSError as exc:
+        return _unreadable(exc)
+    if cache is not None:
+        print(
+            f"parse cache: ras={ras_log.cache_status}"
+            f" job={job_log.cache_status}"
+        )
+    _run_analysis(args, ras_log, job_log, source=f"{args.ras} + {args.job}")
     return 0
 
 
@@ -440,19 +442,8 @@ def cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    telemetry = _telemetry(args)
-    timer = StageTimer()
-    with telemetry.activate() if telemetry else nullcontext():
-        profile = CalibrationProfile(seed=args.seed, scale=args.scale)
-        with timer.stage("simulate") as st:
-            trace = IntrepidSimulation(profile).run()
-            st.rows = len(trace.ras_log) + trace.job_log.num_jobs
-        _run_analysis(
-            args, trace.ras_log, trace.job_log,
-            extra_timings=timer.timings, telemetry=telemetry,
-        )
-    if telemetry is not None:
-        print(f"telemetry manifest: {telemetry.finish()}")
+    trace = _simulate(CalibrationProfile(seed=args.seed, scale=args.scale))
+    _run_analysis(args, trace.ras_log, trace.job_log)
     return 0
 
 
@@ -479,65 +470,57 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.store import ShardedDataset, analyze_fleet
     from repro.store.manifest import StoreError
 
-    telemetry = _telemetry(args)
-    with telemetry.activate() if telemetry else nullcontext():
-        with tempfile.TemporaryDirectory() as scratch:
-            root = Path(args.out_dir) if args.out_dir else Path(scratch)
-            fleet = None
-            try:
-                dataset = ShardedDataset.open(root)
-                print(
-                    f"opened store at {root}: "
-                    f"{len(dataset.machines())} machines, "
-                    f"{len(dataset.manifest.shards)} shards"
-                )
-            except StoreError:
-                profile = CalibrationProfile(
-                    seed=args.seed, scale=args.scale
-                )
-                t0 = time.time()
-                fleet = synthesize_fleet(profile, n_machines=args.machines)
-                dataset = store_fleet(root, fleet, windows=args.windows)
-                print(
-                    f"synthesized {len(fleet)} machines into {root} "
-                    f"({len(dataset.manifest.shards)} shards, "
-                    f"{args.windows} windows) in {time.time() - t0:.1f}s"
-                )
-            result = analyze_fleet(
-                dataset,
-                time_range=args.time_range,
-                workers=args.workers,
-                seed=args.seed,
-                pipeline_factory=lambda: _pipeline_from_args(args),
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(args.out_dir) if args.out_dir else Path(scratch)
+        fleet = None
+        try:
+            dataset = ShardedDataset.open(root)
+            print(
+                f"opened store at {root}: "
+                f"{len(dataset.machines())} machines, "
+                f"{len(dataset.manifest.shards)} shards"
             )
-            if telemetry is not None:
-                telemetry.observations = [
-                    o
-                    for ma in result.ok_machines
-                    for o in ma.result.observations
-                ]
+        except StoreError:
+            profile = CalibrationProfile(seed=args.seed, scale=args.scale)
+            t0 = time.perf_counter()
+            fleet = synthesize_fleet(profile, n_machines=args.machines)
+            dataset = store_fleet(root, fleet, windows=args.windows)
+            print(
+                f"synthesized {len(fleet)} machines into {root} "
+                f"({len(dataset.manifest.shards)} shards, "
+                f"{args.windows} windows) in {time.perf_counter() - t0:.1f}s"
+            )
+        result = analyze_fleet(
+            dataset,
+            time_range=args.time_range,
+            workers=args.workers,
+            seed=args.seed,
+            pipeline_factory=lambda: _pipeline_from_args(args),
+        )
+        _observe(
+            args,
+            [o for ma in result.ok_machines for o in ma.result.observations],
+        )
+        print()
+        print(result.report())
+        if args.check_equivalence:
+            if fleet is None:
+                print(
+                    "cannot check equivalence against an existing "
+                    "store (no batch logs in memory)",
+                    file=sys.stderr,
+                )
+                return 2
+            if args.time_range is not None:
+                print(
+                    "equivalence check requires a full-span run "
+                    "(drop --time-range)",
+                    file=sys.stderr,
+                )
+                return 2
             print()
-            print(result.report())
-            if args.check_equivalence:
-                if fleet is None:
-                    print(
-                        "cannot check equivalence against an existing "
-                        "store (no batch logs in memory)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if args.time_range is not None:
-                    print(
-                        "equivalence check requires a full-span run "
-                        "(drop --time-range)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                print()
-                if not _fleet_matches_batch(args, fleet, result):
-                    return 3
-    if telemetry is not None:
-        print(f"telemetry manifest: {telemetry.finish()}")
+            if not _fleet_matches_batch(args, fleet, result):
+                return 3
     return 1 if result.degraded else 0
 
 
@@ -631,131 +614,126 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
         return 2
 
-    telemetry = _telemetry(args)
-    rc = 0
-    with telemetry.activate() if telemetry else nullcontext():
-        if args.ras:
-            policy = _ingest_policy(args)
-            try:
-                ras_log = read_ras_log(
-                    args.ras, policy=policy, workers=args.workers
-                )
-                job_log = read_job_log(
-                    args.job, policy=policy, workers=args.workers
-                )
-            except IngestAbortError as exc:
-                print(f"ingestion aborted: {exc}", file=sys.stderr)
-                return 2
-            except IngestError as exc:
-                print(f"ingestion rejected a bad record: {exc}", file=sys.stderr)
-                return 2
-            except OSError as exc:
-                return _unreadable(exc)
-            source = f"{args.ras} + {args.job}"
-        else:
-            profile = CalibrationProfile(seed=args.seed, scale=args.scale)
-            trace = IntrepidSimulation(profile).run()
-            ras_log, job_log = trace.ras_log, trace.job_log
-            source = "stream demo"
+    if args.ras:
+        policy = _ingest_policy(args)
+        try:
+            ras_log = read_ras_log(
+                args.ras, policy=policy, workers=args.workers
+            )
+            job_log = read_job_log(
+                args.job, policy=policy, workers=args.workers
+            )
+        except IngestAbortError as exc:
+            print(f"ingestion aborted: {exc}", file=sys.stderr)
+            return 2
+        except IngestError as exc:
+            print(f"ingestion rejected a bad record: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            return _unreadable(exc)
+        source = f"{args.ras} + {args.job}"
+    else:
+        trace = _simulate(
+            CalibrationProfile(seed=args.seed, scale=args.scale)
+        )
+        ras_log, job_log = trace.ras_log, trace.job_log
+        source = "stream demo"
 
-        runner = None
-        if args.resume:
-            try:
-                runner = load_checkpoint(
-                    args.checkpoint_dir, pipeline=_pipeline_from_args(args)
-                )
-                runner.source = source
-                print(
-                    f"resumed {args.checkpoint_dir}: watermark="
-                    f"{runner.watermark:.0f}, "
-                    f"{runner.increments} increments already ingested"
-                )
-            except StreamError as exc:
-                print(f"cannot resume: {exc}", file=sys.stderr)
-                return 2
-        lateness = None
-        if runner is None:
-            if args.allowed_lateness:
-                from repro.stream.lateness import (
-                    BoundedLatenessStream,
-                    LateRecordSink,
-                )
-
-                sink = (
-                    LateRecordSink(args.late_sink) if args.late_sink else None
-                )
-                lateness = BoundedLatenessStream(
-                    pipeline=_pipeline_from_args(args),
-                    allowed_lateness=args.allowed_lateness,
-                    sink=sink,
-                    source=source,
-                )
-                runner = lateness.inner
-            else:
-                runner = StreamingCoAnalysis(
-                    pipeline=_pipeline_from_args(args), source=source
-                )
-
-        for inc in split_trace(ras_log, job_log, increments=args.increments):
-            if inc.watermark <= runner.watermark:
-                continue  # covered by the resumed checkpoint
-            if lateness is not None:
-                lu = lateness.ingest(inc.ras, inc.job, inc.watermark)
-                if lu.update is None:
-                    print(
-                        f"increment held: watermark={lu.producer_watermark:.0f}"
-                        f" buffered={lu.buffered}"
-                        f" dropped={sum(lu.dropped.values())}"
-                    )
-                    continue
-                u = lu.update
-            else:
-                u = runner.ingest_increment(inc)
-            fit = ""
-            if u.fit is not None:
-                delta = (
-                    "" if math.isnan(u.shape_delta)
-                    else f" (shape {u.shape_delta:+.4f})"
-                )
-                fit = f" weibull={u.fit.shape:.4f}/{u.fit.scale:.1f}{delta}"
+    runner = None
+    if args.resume:
+        try:
+            runner = load_checkpoint(
+                args.checkpoint_dir, pipeline=_pipeline_from_args(args)
+            )
+            runner.source = source
             print(
-                f"increment {u.index}: watermark={u.watermark:.0f}"
-                f" raw={u.events_raw} spatial={u.after_spatial}"
-                f" pending={u.pending_events} pairs={u.pairs_emitted}"
-                f" rate={u.interruption_rate_per_day:.2f}/day{fit}"
+                f"resumed {args.checkpoint_dir}: watermark="
+                f"{runner.watermark:.0f}, "
+                f"{runner.increments} increments already ingested"
             )
-            if args.checkpoint_dir:
-                save_checkpoint(runner, args.checkpoint_dir)
-        if lateness is not None:
-            result = lateness.result()
-            dropped = sum(lateness.late_dropped.values())
-            if dropped:
-                print(
-                    f"late records beyond the {args.allowed_lateness:.0f}s"
-                    f" horizon: {dropped} dropped"
-                    + (f" (sink: {args.late_sink})" if args.late_sink else "")
-                )
-        else:
-            result = runner.result()
-        if telemetry is not None:
-            telemetry.observations = list(result.observations)
-        print()
-        print(result.report())
+        except StreamError as exc:
+            print(f"cannot resume: {exc}", file=sys.stderr)
+            return 2
+    lateness = None
+    if runner is None:
+        if args.allowed_lateness:
+            from repro.stream.lateness import (
+                BoundedLatenessStream,
+                LateRecordSink,
+            )
 
-        if args.check_equivalence:
-            batch = _pipeline_from_args(args).run(
-                ras_log, job_log, source=source
+            sink = (
+                LateRecordSink(args.late_sink) if args.late_sink else None
             )
-            diffs = diff_results(result, batch)
-            print()
-            for diff in diffs:
-                print(f"equivalence: {diff}")
-            print(f"stream == batch: {'OK' if not diffs else 'FAILED'}")
-            if diffs:
-                rc = 3
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
+            lateness = BoundedLatenessStream(
+                pipeline=_pipeline_from_args(args),
+                allowed_lateness=args.allowed_lateness,
+                sink=sink,
+                source=source,
+            )
+            runner = lateness.inner
+        else:
+            runner = StreamingCoAnalysis(
+                pipeline=_pipeline_from_args(args), source=source
+            )
+
+    for inc in split_trace(ras_log, job_log, increments=args.increments):
+        if inc.watermark <= runner.watermark:
+            continue  # covered by the resumed checkpoint
+        if lateness is not None:
+            lu = lateness.ingest(inc.ras, inc.job, inc.watermark)
+            if lu.update is None:
+                print(
+                    f"increment held: watermark={lu.producer_watermark:.0f}"
+                    f" buffered={lu.buffered}"
+                    f" dropped={sum(lu.dropped.values())}"
+                )
+                continue
+            u = lu.update
+        else:
+            u = runner.ingest_increment(inc)
+        fit = ""
+        if u.fit is not None:
+            delta = (
+                "" if math.isnan(u.shape_delta)
+                else f" (shape {u.shape_delta:+.4f})"
+            )
+            fit = f" weibull={u.fit.shape:.4f}/{u.fit.scale:.1f}{delta}"
+        print(
+            f"increment {u.index}: watermark={u.watermark:.0f}"
+            f" raw={u.events_raw} spatial={u.after_spatial}"
+            f" pending={u.pending_events} pairs={u.pairs_emitted}"
+            f" rate={u.interruption_rate_per_day:.2f}/day{fit}"
+        )
+        if args.checkpoint_dir:
+            save_checkpoint(runner, args.checkpoint_dir)
+    if lateness is not None:
+        result = lateness.result()
+        dropped = sum(lateness.late_dropped.values())
+        if dropped:
+            print(
+                f"late records beyond the {args.allowed_lateness:.0f}s"
+                f" horizon: {dropped} dropped"
+                + (f" (sink: {args.late_sink})" if args.late_sink else "")
+            )
+    else:
+        result = runner.result()
+    _observe(args, result.observations)
+    print()
+    print(result.report())
+
+    if args.check_equivalence:
+        batch = _pipeline_from_args(args).run(
+            ras_log, job_log, source=source
+        )
+        diffs = diff_results(result, batch)
+        print()
+        for diff in diffs:
+            print(f"equivalence: {diff}")
+        print(f"stream == batch: {'OK' if not diffs else 'FAILED'}")
+        if diffs:
+            return 3
+    return 0
 
 
 def cmd_daemon(args: argparse.Namespace) -> int:
@@ -809,7 +787,6 @@ def cmd_daemon(args: argparse.Namespace) -> int:
 
         return FaultyFS(FaultPlan.generate(args.inject_faults))
 
-    telemetry = _telemetry(args)
     active: dict[str, DaemonLoop] = {}
 
     def make_loop() -> DaemonLoop:
@@ -834,44 +811,39 @@ def cmd_daemon(args: argparse.Namespace) -> int:
             previous[sig] = signal.signal(sig, _handler)
         except ValueError:  # not the main thread
             break
-    rc = 0
-    with telemetry.activate() if telemetry else nullcontext():
-        try:
-            summary = Supervisor(
-                make_loop, max_restarts=args.max_restarts
-            ).run()
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
+    try:
+        summary = Supervisor(
+            make_loop, max_restarts=args.max_restarts
+        ).run()
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
-        print(
-            f"daemon done ({summary.stopped_by}): {summary.cycles} cycles,"
-            f" {summary.increments} increments"
-            f" ({summary.degraded_increments} degraded),"
-            f" {summary.released_rows} rows released,"
-            f" {summary.checkpoints} checkpoints,"
-            f" {summary.store_windows} store windows,"
-            f" late dropped {summary.late_dropped}"
+    print(
+        f"daemon done ({summary.stopped_by}): {summary.cycles} cycles,"
+        f" {summary.increments} increments"
+        f" ({summary.degraded_increments} degraded),"
+        f" {summary.released_rows} rows released,"
+        f" {summary.checkpoints} checkpoints,"
+        f" {summary.store_windows} store windows,"
+        f" late dropped {summary.late_dropped}"
+    )
+    if args.check_equivalence:
+        loop = active["loop"]
+        result = loop.result()
+        _observe(args, result.observations)
+        policy = IngestPolicy(mode=args.on_bad_record)
+        batch = _pipeline_from_args(args).run(
+            read_ras_log(args.ras, policy=policy),
+            read_job_log(args.job, policy=policy),
         )
-        if args.check_equivalence:
-            loop = active["loop"]
-            result = loop.result()
-            if telemetry is not None:
-                telemetry.observations = list(result.observations)
-            policy = IngestPolicy(mode=args.on_bad_record)
-            batch = _pipeline_from_args(args).run(
-                read_ras_log(args.ras, policy=policy),
-                read_job_log(args.job, policy=policy),
-            )
-            diffs = diff_results(result, batch)
-            for diff in diffs:
-                print(f"equivalence: {diff}")
-            print(f"daemon == batch: {'OK' if not diffs else 'FAILED'}")
-            if diffs:
-                rc = 3
-    if telemetry is not None and rc == 0:
-        print(f"telemetry manifest: {telemetry.finish()}")
-    return rc
+        diffs = diff_results(result, batch)
+        for diff in diffs:
+            print(f"equivalence: {diff}")
+        print(f"daemon == batch: {'OK' if not diffs else 'FAILED'}")
+        if diffs:
+            return 3
+    return 0
 
 
 def cmd_feed(args: argparse.Namespace) -> int:
@@ -1001,8 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timings", action="store_true",
-        help="print the full per-stage timing table (incl. match.* "
-             "kernel sub-stages) after the report",
+        help="print the run's span tree (every stage, incl. the "
+             "filter.* and match.* sub-stages) after the command's output",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1318,18 +1290,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand under the run's single tracer.
+
+    The tracer is the telemetry run's when a manifest is requested, a
+    plain one when only ``--timings`` is set, and absent otherwise;
+    ``--timings`` and the manifest both read its one span tree.
+    """
     args = build_parser().parse_args(argv)
     telemetry_out = getattr(args, "telemetry_out", None)
     if telemetry_out and Path(telemetry_out).is_dir():
         print(f"--telemetry-out {telemetry_out} is a directory",
               file=sys.stderr)
         return 2
+    args.telemetry = telemetry = _telemetry(args)
+    if telemetry is not None:
+        tracer = telemetry.tracer
+    else:
+        tracer = Tracer() if args.timings else None
     try:
-        return args.func(args)
+        with tracer.activate(root="run") if tracer else nullcontext():
+            rc = args.func(args)
     except BrokenPipeError:
         # output piped into e.g. `head`; not an error worth a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    if args.timings:
+        from repro.viz.trace import render_span_tree
+
+        print()
+        print(render_span_tree(
+            [s.as_record() for s in tracer.spans], title="stage timings"
+        ))
+    if telemetry is not None and rc == 0:
+        print(f"telemetry manifest: {telemetry.finish()}")
+    return rc
 
 
 if __name__ == "__main__":

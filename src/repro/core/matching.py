@@ -13,13 +13,12 @@ broadcast across its midplane span into an (event, midplane) table, and
 all (event, job) pairs in bulk; pairs are assembled column-wise with
 ``take``. The row-at-a-time original is kept in
 :mod:`repro.core.matching_reference` and golden-tested for equivalence.
-Per-stage wall/row counters are recorded via :mod:`repro.perf` into
-``MatchResult.timings``.
+Each kernel stage runs under a ``match.*`` span (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from repro.frame.column import (
 from repro.logs.job import JobLog
 from repro.machine.partition import parse_partition
 from repro.machine.topology import NUM_MIDPLANES
-from repro.perf import StageTimer, StageTiming
+from repro.obs.trace import maybe_span
 
 #: per-event outcome labels
 CASE_INTERRUPTS = 1       # matched at least one job termination
@@ -89,8 +88,6 @@ class MatchResult:
     event_cases: dict[int, int]
     #: per errcode: counts of events in each case
     type_cases: Frame
-    #: per-stage wall/row counters of the matching kernel
-    timings: tuple[StageTiming, ...] = field(default=())
 
     @property
     def num_interrupted_jobs(self) -> int:
@@ -144,30 +141,29 @@ class InterruptionMatcher:
         job_log: JobLog,
         raw_events: FatalEventTable | None = None,
     ) -> MatchResult:
-        timer = StageTimer()
         ev = events.frame
         jobs = job_log.frame
         tol = float(self.tolerance)
         if tol < 0:
             raise ValueError(f"tolerance must be non-negative, got {tol}")
 
-        with timer.stage("match.index") as st:
+        with maybe_span("match.index") as sp:
             index = _JobMidplaneIndex(jobs)
             raw_index = (
                 _RawTypeIndex(raw_events) if raw_events is not None else None
             )
-            st.rows = jobs.num_rows
+            sp.rows = jobs.num_rows
 
-        with timer.stage("match.join") as st:
+        with maybe_span("match.join") as sp:
             m_ev, m_row, m_mp, running_any = _direct_join(ev, index, tol)
-            st.rows = len(m_ev)
+            sp.rows = len(m_ev)
 
         if raw_index is not None and len(m_ev):
-            with timer.stage("match.raw_credit") as st:
+            with maybe_span("match.raw_credit") as sp:
                 c_ev, c_row, c_mp = _cross_location_credit(
                     ev, index, raw_index, m_ev, m_row, tol
                 )
-                st.rows = len(c_ev)
+                sp.rows = len(c_ev)
             if len(c_ev):
                 m_ev = np.concatenate([m_ev, c_ev])
                 m_row = np.concatenate([m_row, c_row])
@@ -175,7 +171,7 @@ class InterruptionMatcher:
                 order = np.lexsort((m_row, m_ev))
                 m_ev, m_row, m_mp = m_ev[order], m_row[order], m_mp[order]
 
-        with timer.stage("match.cases") as st:
+        with maybe_span("match.cases") as sp:
             n_ev = ev.num_rows
             case = np.full(n_ev, CASE_IDLE, dtype=np.int64)
             case[running_any] = CASE_RUNNING_UNHARMED
@@ -186,12 +182,12 @@ class InterruptionMatcher:
                 zip(ev["event_id"].tolist(), case.tolist())
             )
             type_cases = _type_case_table(ev, case)
-            st.rows = n_ev
+            sp.rows = n_ev
 
-        with timer.stage("match.assemble") as st:
+        with maybe_span("match.assemble") as sp:
             pairs = _assemble_pairs(ev, jobs, m_ev, m_row, m_mp)
             interruptions = _first_event_per_job(pairs)
-            st.rows = pairs.num_rows
+            sp.rows = pairs.num_rows
 
         from repro.obs.metrics import get_metrics
 
@@ -204,7 +200,6 @@ class InterruptionMatcher:
             interruptions=interruptions,
             event_cases=event_cases,
             type_cases=type_cases,
-            timings=timer.timings,
         )
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from repro.frame.column import factorize, factorize_many, first_occurrence_mask
 from repro.logs.job import JobLog
 from repro.logs.ras import RasLog
 from repro.obs.trace import maybe_span
-from repro.perf import StageTimer, StageTiming
 
 
 @dataclass(frozen=True)
@@ -86,11 +84,6 @@ class CoAnalysisResult:
     same_location_resubmission_share: float
 
     observations: list[Observation] = field(default_factory=list)
-
-    #: per-stage wall/row counters (pipeline stages plus the
-    #: ``filter.*`` chain and ``match.*`` kernel sub-stages), in
-    #: execution order
-    timings: tuple[StageTiming, ...] = ()
 
     #: the degradation report: downstream stages that raised and were
     #: captured instead of killing the co-analysis
@@ -166,8 +159,8 @@ class CoAnalysis:
     #: thread-pool width for the independent downstream studies: 0 = one
     #: per available CPU, 1 = serial. Concurrency engages only with
     #: error boundaries on (fail-fast must raise in serial order), and
-    #: results, failures and timings come back in the canonical serial
-    #: order either way
+    #: results and failures come back in the canonical serial order
+    #: either way
     study_workers: int = 0
 
     def run(
@@ -178,22 +171,19 @@ class CoAnalysis:
         *source* is provenance only (stamped onto the result and shown
         in the report header) — it never affects the analysis.
         """
-        timer = StageTimer()
-        with timer.stage("extract") as st:
+        with maybe_span("extract") as sp:
             events_raw = fatal_event_table(ras_log)
-            st.rows = len(events_raw)
-        with timer.stage("filter") as st:
+            sp.rows = len(events_raw)
+        with maybe_span("filter") as sp:
             events_filtered = self.filters.apply(events_raw)
-            st.rows = len(events_filtered)
+            sp.rows = len(events_filtered)
         assert self.filters.stats is not None
-        timer.extend(self.filters.timings)
 
-        with timer.stage("match") as st:
+        with maybe_span("match") as sp:
             match = self.matcher.match(
                 events_filtered, job_log, raw_events=self.filters.temporal_table
             )
-            st.rows = match.pairs.num_rows
-        timer.extend(match.timings)
+            sp.rows = match.pairs.num_rows
 
         return self.complete(
             events_filtered=events_filtered,
@@ -201,7 +191,6 @@ class CoAnalysis:
             job_log=job_log,
             filter_stats=self.filters.stats,
             window=_window(ras_log, job_log),
-            timer=timer,
             source=source,
         )
 
@@ -213,7 +202,6 @@ class CoAnalysis:
         job_log: JobLog,
         filter_stats: FilterStats,
         window: tuple[float, float],
-        timer: StageTimer | None = None,
         source: str = "",
     ) -> CoAnalysisResult:
         """Everything downstream of matching: identify → classify →
@@ -227,16 +215,14 @@ class CoAnalysis:
         ``(t_start, duration)`` pair :func:`_window` derives from the
         logs (streaming tracks the spans across increments instead).
         """
-        if timer is None:
-            timer = StageTimer()
         t_start, duration = window
 
-        with timer.stage("identify") as st:
+        with maybe_span("identify") as sp:
             identification = self.identifier.identify(match.type_cases)
-            st.rows = match.type_cases.num_rows
+            sp.rows = match.type_cases.num_rows
         from repro.core.jobindex import CompletedRunIndex
 
-        with timer.stage("classify") as st:
+        with maybe_span("classify"):
             clean_runs = CompletedRunIndex(
                 job_log, set(int(j) for j in match.interrupted_job_ids())
             )
@@ -247,13 +233,13 @@ class CoAnalysis:
                 nonfatal_types=set(identification.nonfatal_types()),
                 clean_runs=clean_runs,
             )
-        with timer.stage("job_filter") as st:
+        with maybe_span("job_filter") as sp:
             event_rows = _first_job_per_event(match.pairs)
             redundant = self.job_filter.redundant_ids(
                 event_rows, job_log, classification.origins, clean_runs=clean_runs
             )
             events_final = events_filtered.drop_ids(redundant)
-            st.rows = len(events_final)
+            sp.rows = len(events_final)
 
         failures: list[StageFailure] = []
 
@@ -278,7 +264,7 @@ class CoAnalysis:
                 )
                 return fallback
 
-        with timer.stage("studies") as st:
+        with maybe_span("studies") as sp:
             interruptions = guarded(
                 "studies.categorize",
                 lambda: categorize_interruptions(
@@ -295,7 +281,6 @@ class CoAnalysis:
                 t_start=t_start,
                 duration=duration,
                 failures=failures,
-                timer=timer,
             )
             interarrivals = studies["interarrivals"]
             rates = studies["rates"]
@@ -304,9 +289,9 @@ class CoAnalysis:
             bursts = studies["bursts"]
             propagation = studies["propagation"]
             vulnerability = studies["vulnerability"]
-            st.rows = interruptions.num_rows
+            sp.rows = interruptions.num_rows
             if workers_used > 1:
-                st.note = f"{workers_used} workers"
+                sp.note = f"{workers_used} workers"
 
         result = CoAnalysisResult(
             filter_stats=filter_stats,
@@ -335,14 +320,12 @@ class CoAnalysis:
         )
         result.stage_failures = tuple(failures)
         if self.compute_observations_flag:
-            with timer.stage("observations"):
-                result.observations = guarded(
-                    "observations",
-                    lambda: compute_observations(result),
-                    fallback=[],
-                )
-                result.stage_failures = tuple(failures)
-        result.timings = timer.timings
+            result.observations = guarded(
+                "observations",
+                lambda: compute_observations(result),
+                fallback=[],
+            )
+            result.stage_failures = tuple(failures)
         return result
 
     # ------------------------------------------------------------------
@@ -358,7 +341,6 @@ class CoAnalysis:
         t_start,
         duration,
         failures,
-        timer,
     ) -> tuple[dict, int]:
         """Run the seven downstream studies, concurrently when allowed.
 
@@ -367,10 +349,11 @@ class CoAnalysis:
         propagation, vulnerability) and two consume a wave-one product
         (rates needs interarrivals' MTBF, skew needs the profile). With
         ``study_workers`` > 1 and error boundaries on, wave one runs on
-        a thread pool; either way the failure list and the per-study
-        ``studies.<name>`` timings are assembled in the canonical serial
-        order, so degraded reports are deterministic regardless of
-        thread scheduling.
+        a thread pool; either way the failure list is assembled in the
+        canonical serial order, so degraded reports are deterministic
+        regardless of thread scheduling. Each study runs under a
+        ``studies.<name>`` span that nests under ``studies`` in both
+        modes.
         """
         wave1 = [
             (
@@ -398,15 +381,13 @@ class CoAnalysis:
         ]
 
         def attempt(name, fn):
-            t0 = perf_counter()
             try:
                 with maybe_span(f"studies.{name}"):
-                    result = fn()
-                return result, None, perf_counter() - t0
+                    return fn(), None
             except Exception as exc:  # noqa: BLE001 - boundary's job
                 if not self.error_boundaries:
                     raise
-                return None, exc, perf_counter() - t0
+                return None, exc
 
         from repro.parallel.ingest import resolve_workers
 
@@ -473,7 +454,7 @@ class CoAnalysis:
                     )
                 )
                 continue
-            result, exc, wall = outcome
+            result, exc = outcome
             if exc is not None:
                 failures.append(
                     StageFailure(
@@ -483,7 +464,6 @@ class CoAnalysis:
                     )
                 )
             studies[name] = result
-            timer.record(f"studies.{name}", wall)
         return studies, (n if concurrent else 1)
 
 

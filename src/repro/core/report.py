@@ -37,8 +37,6 @@ def render_report(result) -> str:
     ]
     if getattr(result, "stage_failures", ()):
         sections.append(_degradation_section(result))
-    if getattr(result, "timings", ()):
-        sections.append(_timings_section(result))
     return "\n\n".join(sections)
 
 
@@ -69,15 +67,6 @@ def _degradation_section(r) -> str:
         " all other results are from clean inputs"
     )
     return "\n".join(lines)
-
-
-def _timings_section(r) -> str:
-    """Top-level stage timings; the ``filter.*`` / ``match.*`` sub-stage
-    breakdown is printed by ``--timings`` in the CLI."""
-    from repro.perf import render_timings
-
-    top = [t for t in r.timings if "." not in t.stage]
-    return render_timings(top, title="Stage timings (perf)")
 
 
 def _header(r) -> str:

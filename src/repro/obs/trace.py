@@ -2,10 +2,13 @@
 
 A :class:`Tracer` collects a tree of :class:`Span` records — name, wall
 and CPU seconds, row count, free-form attributes, parent linkage — for
-one run. The tracer is **ambient**: :meth:`Tracer.activate` installs it
-in a :mod:`contextvars` context, and every instrumentation point in the
-codebase (``StageTimer.stage``, the chunk parsers, the study waves)
-asks :func:`current_tracer` whether anyone is listening. With no active
+one run. Spans are the codebase's only timing primitive: every pipeline
+stage (``extract``, ``filter.temporal``, ``match.join``,
+``studies.<name>`` ...) is a :func:`maybe_span` block, and ``--timings``
+prints the same tree the ``--telemetry-out`` manifest records. The
+tracer is **ambient**: :meth:`Tracer.activate` installs it in a
+:mod:`contextvars` context, and every instrumentation point asks
+:func:`current_tracer` whether anyone is listening. With no active
 tracer the probe is a single ``ContextVar.get`` returning ``None``, so
 disabled telemetry costs effectively nothing.
 
@@ -239,11 +242,16 @@ def current_span_id() -> int | None:
 
 
 @contextmanager
-def maybe_span(name: str, note: str = "", **attrs) -> Iterator[Span | None]:
-    """A span when a tracer is active, a no-op (yielding None) otherwise."""
+def maybe_span(name: str, note: str = "", **attrs) -> Iterator[Span]:
+    """A span of the active tracer, or a detached one when none is.
+
+    Callers set ``sp.rows`` / ``sp.note`` / ``sp.attrs`` unconditionally;
+    a detached span is never timed or recorded anywhere, so with
+    telemetry off the cost is one ContextVar read and one small object.
+    """
     tracer = _ACTIVE.get()
     if tracer is None:
-        yield None
+        yield Span(0, None, name, 0.0, note=note, attrs=attrs)
     else:
         with tracer.span(name, note=note, **attrs) as sp:
             yield sp

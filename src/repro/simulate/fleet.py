@@ -56,8 +56,7 @@ def synthesize_fleet(
         name = machine_name(i)
         with maybe_span("fleet.simulate", machine=name, seed=seed) as sp:
             trace = IntrepidSimulation(replace(base, seed=seed)).run()
-            if sp is not None:
-                sp.rows = len(trace.ras_log)
+            sp.rows = len(trace.ras_log)
         fleet.append(
             FleetMachine(
                 machine=name,

@@ -143,8 +143,7 @@ class ShardedDataset:
                     new_shards.append(
                         self._write_shard(machine, table, i, part)
                     )
-            if sp is not None:
-                sp.rows = sum(s.rows for s in new_shards)
+            sp.rows = sum(s.rows for s in new_shards)
         self.manifest.shards.extend(new_shards)
         write_store_manifest(self.root, self.manifest)
         get_metrics().gauge("store.shards.total").set(
@@ -201,8 +200,7 @@ class ShardedDataset:
                 new_shards.append(
                     self._write_shard(machine, table, window, frame)
                 )
-            if sp is not None:
-                sp.rows = sum(s.rows for s in new_shards)
+            sp.rows = sum(s.rows for s in new_shards)
         self.manifest.shards.extend(new_shards)
         write_store_manifest(self.root, self.manifest)
         get_metrics().gauge("store.shards.total").set(
@@ -287,8 +285,7 @@ class ShardedDataset:
                         part = part.filter(
                             (t >= time_range[0]) & (t < time_range[1])
                         )
-                    if shard_sp is not None:
-                        shard_sp.rows = part.num_rows
+                    shard_sp.rows = part.num_rows
                 parts.append(part)
             if not parts:
                 # everything pruned: synthesize a typed empty frame from
@@ -301,10 +298,9 @@ class ShardedDataset:
                 )
             else:
                 out = concat(parts)
-            if sp is not None:
-                sp.rows = out.num_rows
-                sp.attrs["opened"] = opened
-                sp.attrs["pruned"] = pruned
+            sp.rows = out.num_rows
+            sp.attrs["opened"] = opened
+            sp.attrs["pruned"] = pruned
         return out
 
     def load_ras(

@@ -191,8 +191,7 @@ def _analyze_machine(
             ras = dataset.load_ras(machine, time_range=time_range, mmap=mmap)
             job = dataset.load_job(machine, time_range=time_range, mmap=mmap)
             result = pipeline_factory().run(ras, job, source=machine)
-            if sp is not None:
-                sp.rows = len(ras)
+            sp.rows = len(ras)
         metrics.counter("fleet.machines", status="ok").inc()
         return MachineAnalysis(
             machine=machine, result=result, wall_s=perf_counter() - t0

@@ -3,12 +3,21 @@
 import pytest
 
 from repro.core import CoAnalysis
+from repro.obs import Tracer
 from repro.simulate import CalibrationProfile, IntrepidSimulation
 
 
 @pytest.fixture(scope="module")
 def trace():
     return IntrepidSimulation(CalibrationProfile(seed=2011, scale=0.05)).run()
+
+
+def _traced_spans(trace, workers):
+    """The spans of one traced run with *workers* study threads."""
+    tracer = Tracer()
+    with tracer.activate(root="run"):
+        CoAnalysis(study_workers=workers).run(trace.ras_log, trace.job_log)
+    return tracer.spans
 
 
 def _boom(*args, **kwargs):
@@ -91,15 +100,12 @@ class TestSchedulingModes:
 
     def test_per_study_timings_in_canonical_order(self, trace):
         for workers in (1, 4):
-            result = CoAnalysis(study_workers=workers).run(
-                trace.ras_log, trace.job_log
-            )
-            stages = [
-                t.stage
-                for t in result.timings
-                if t.stage.startswith("studies.")
-            ]
-            assert stages == [
+            spans = _traced_spans(trace, workers)
+            (studies,) = [s for s in spans if s.name == "studies"]
+            children = {
+                s.name for s in spans if s.parent_id == studies.span_id
+            }
+            assert children >= {
                 "studies.interarrivals",
                 "studies.rates",
                 "studies.midplane_profile",
@@ -107,20 +113,18 @@ class TestSchedulingModes:
                 "studies.bursts",
                 "studies.propagation",
                 "studies.vulnerability",
-            ]
+            }
+            # no study span escapes the "studies" parent
+            assert all(
+                s.parent_id == studies.span_id
+                for s in spans
+                if s.name.startswith("studies.")
+            )
 
     def test_workers_note_on_studies_stage(self, trace):
-        threaded = CoAnalysis(study_workers=4).run(
-            trace.ras_log, trace.job_log
-        )
-        note = next(
-            t.note for t in threaded.timings if t.stage == "studies"
-        )
-        assert note == "4 workers"
-        serial = CoAnalysis(study_workers=1).run(
-            trace.ras_log, trace.job_log
-        )
-        note = next(
-            t.note for t in serial.timings if t.stage == "studies"
-        )
-        assert note == ""
+        for workers, expected in ((4, "4 workers"), (1, "")):
+            (studies,) = [
+                s for s in _traced_spans(trace, workers)
+                if s.name == "studies"
+            ]
+            assert studies.note == expected

@@ -12,6 +12,7 @@ from repro.core.filtering import (
     SpatialFilter,
     TemporalFilter,
 )
+from repro.obs import Tracer
 from tests.core.helpers import ras
 
 
@@ -287,8 +288,11 @@ class TestFilterChain:
 
     def test_stage_timings_recorded(self):
         chain = FilterChain()
-        chain.apply(table([(1, "A", "FATAL", 0.0, "R00-M0")]))
-        stages = [t.stage for t in chain.timings]
+        tracer = Tracer()
+        with tracer.activate(root=None):
+            chain.apply(table([(1, "A", "FATAL", 0.0, "R00-M0")]))
+        spans = tracer.spans
+        stages = [s.name for s in spans]
         assert stages == ["filter.temporal", "filter.spatial", "filter.causal"]
-        assert all(t.rows == 1 for t in chain.timings)
-        assert all(t.wall_s >= 0.0 for t in chain.timings)
+        assert all(s.rows == 1 for s in spans)
+        assert all(s.wall_s >= 0.0 for s in spans)

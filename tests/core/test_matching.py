@@ -14,6 +14,7 @@ from repro.core.matching import (
     InterruptionMatcher,
 )
 from repro.machine.partition import parse_partition
+from repro.obs import Tracer
 from tests.core.helpers import jobs, ras
 
 
@@ -265,8 +266,11 @@ class TestTimings:
     def test_match_records_stage_timings(self, matcher):
         ev = events([(1, "A", "FATAL", 1000.0, "R00-M0")])
         jl = jobs([(7, "/x", 500.0, 1000.0, "R00-M0", 1)])
-        m = matcher.match(ev, jl, raw_events=ev)
-        stages = [t.stage for t in m.timings]
+        tracer = Tracer()
+        with tracer.activate(root=None):
+            matcher.match(ev, jl, raw_events=ev)
+        spans = tracer.spans
+        stages = [s.name for s in spans]
         assert stages == [
             "match.index",
             "match.join",
@@ -274,4 +278,12 @@ class TestTimings:
             "match.cases",
             "match.assemble",
         ]
-        assert all(t.wall_s >= 0.0 for t in m.timings)
+        rows = {s.name: s.rows for s in spans}
+        assert rows == {
+            "match.index": 1,
+            "match.join": 1,
+            "match.raw_credit": 0,
+            "match.cases": 1,
+            "match.assemble": 1,
+        }
+        assert all(s.wall_s >= 0.0 for s in spans)

@@ -118,6 +118,66 @@ class TestTelemetryOutAllCommands:
         assert f"telemetry manifest: {path}" in capsys.readouterr().out
 
 
+#: every span an ``analyze`` run of a clean scale-0.01 trace records
+#: (no matched pairs, so the conditional ``match.raw_credit`` is absent)
+ANALYZE_SPANS = {
+    "run",
+    "ingest.ras", "ingest.job", "ingest.parse.chunk",
+    "extract",
+    "filter", "filter.temporal", "filter.spatial", "filter.causal",
+    "match", "match.index", "match.join", "match.cases", "match.assemble",
+    "identify", "classify", "job_filter",
+    "studies", "studies.categorize", "studies.interarrivals",
+    "studies.rates", "studies.midplane_profile", "studies.skew",
+    "studies.bursts", "studies.propagation", "studies.vulnerability",
+    "observations",
+}
+
+
+def _timings_labels(out: str) -> set[str]:
+    """Span names printed in the ``--timings`` tree."""
+    tree = out[out.index("-- stage timings"):].splitlines()[2:]
+    labels = set()
+    for line in tree:
+        if line.startswith("telemetry manifest:"):
+            break
+        labels.add(line.split()[0].split("[")[0])
+    return labels
+
+
+class TestOneSpanTree:
+    """``--timings`` and ``--telemetry-out`` render one span tree."""
+
+    def test_timings_tree_equals_manifest(self, tmp_path, capsys):
+        path = tmp_path / "demo.jsonl"
+        # --timings is global; --telemetry-out belongs to the subcommand
+        rc = main([
+            "--timings", "demo", "--scale", "0.01", "--seed", "5",
+            "--telemetry-out", str(path),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert validate_manifest(path) == []
+        spans = read_manifest(path)["spans"]
+        roots = [s for s in spans if s["parent"] is None]
+        assert [r["name"] for r in roots] == ["run"]
+        assert _timings_labels(out) == {s["name"] for s in spans}
+
+    def test_analyze_keeps_every_span(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--out-dir", str(tmp_path), "--scale", "0.01",
+            "--seed", "5",
+        ]) == 0
+        path = tmp_path / "analyze.jsonl"
+        assert main([
+            "analyze", "--ras", str(tmp_path / "ras.log"),
+            "--job", str(tmp_path / "job.log"),
+            "--telemetry-out", str(path),
+        ]) == 0
+        names = {s["name"] for s in read_manifest(path)["spans"]}
+        assert names == ANALYZE_SPANS
+
+
 class TestTraceCommand:
     def test_render(self, demo_manifest, capsys):
         assert main(["trace", str(demo_manifest)]) == 0

@@ -17,8 +17,11 @@ class TestAmbient:
         assert current_span_id() is None
 
     def test_maybe_span_is_noop_without_tracer(self):
+        # a detached span: writable, but never timed, current or kept
         with maybe_span("anything") as sp:
-            assert sp is None
+            sp.rows = 7
+            assert current_span_id() is None
+        assert sp.name == "anything" and sp.wall_s == 0.0
 
     def test_activate_installs_and_uninstalls(self):
         tracer = Tracer()

@@ -9,7 +9,8 @@ import numpy as np
 
 from benchmarks.bench_perf_filtering import make_match_workload, make_stream
 from repro.core import InterruptionMatcher, ReferenceInterruptionMatcher
-from repro.perf import render_timings
+from repro.obs import Tracer
+from repro.viz.trace import render_span_tree
 
 
 class TestMatchWorkloadGenerator:
@@ -50,15 +51,21 @@ class TestTinyScaleEquivalence:
 
     def test_vectorized_records_timings(self):
         ev, jl = make_match_workload(120, 300, seed=5)
-        m = InterruptionMatcher().match(ev, jl, raw_events=ev)
-        assert {t.stage for t in m.timings} >= {
+        tracer = Tracer()
+        with tracer.activate(root="match"):
+            m = InterruptionMatcher().match(ev, jl, raw_events=ev)
+        rows = {s.name: s.rows for s in tracer.spans}
+        assert set(rows) >= {
             "match.index",
             "match.join",
             "match.cases",
             "match.assemble",
         }
-        table = render_timings(m.timings)
-        assert "match.join" in table and "total" in table
+        assert rows["match.index"] == jl.num_jobs
+        assert rows["match.cases"] == len(ev)
+        assert rows["match.assemble"] == m.pairs.num_rows
+        table = render_span_tree([s.as_record() for s in tracer.spans])
+        assert "  match.join" in table
 
 
 class TestFilterStreamGenerator:

@@ -200,10 +200,9 @@ class TestEndToEnd:
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "parse cache: ras=hit job=hit" in warm
-        # the cached analysis prints the same report body (everything
-        # up to the wall-clock timing table, which legitimately varies)
+        # the cached analysis prints the same report, to the last byte
         def body(out):
-            return out[out.index("CO-ANALYSIS"):out.index("Stage timings")]
+            return out[out.index("CO-ANALYSIS"):]
 
         assert body(cold) == body(warm)
 
@@ -211,25 +210,39 @@ class TestEndToEnd:
         rc = main(["demo", "--scale", "0.01", "--seed", "5"])
         assert rc == 0
         out = capsys.readouterr().out
-        # the report always carries the top-level stage timing table
-        assert "Stage timings (perf)" in out
+        # wall-clock timings only print on request (--timings)
+        assert "timings" not in out
         assert "Table IV" in out
 
     def test_demo_with_timings(self, capsys):
         rc = main(["--timings", "demo", "--scale", "0.01", "--seed", "5"])
         assert rc == 0
         out = capsys.readouterr().out
-        # --timings adds the full table with the simulate stage and the
-        # filter.* chain and match.* kernel breakdowns
-        assert "stage timings (full)" in out
-        full = out[out.index("stage timings (full)"):]
-        assert any(
-            line.split()[:1] == ["simulate"] for line in full.splitlines()
-        )
-        assert "match.join" in out
-        assert "filter.temporal" in out
-        assert "filter.spatial" in out
-        assert "filter.causal" in out
+        # --timings adds the span tree under one run root, with the
+        # simulate stage and the filter.* chain and match.* kernel
+        # breakdowns
+        assert "stage timings" in out
+        tree = out[out.index("stage timings"):].splitlines()[2:]
+        assert tree[0].split()[0] == "run"
+        assert all(line.startswith("  ") for line in tree[1:])
+        labels = [line.split()[0] for line in tree]
+        assert "simulate" in labels
+        assert "match.join" in labels
+        assert "filter.temporal" in labels
+        assert "filter.spatial" in labels
+        assert "filter.causal" in labels
+
+    def test_simulate_with_timings_shows_write_cost(self, tmp_path, capsys):
+        rc = main(["--timings", "simulate", "--out-dir", str(tmp_path),
+                   "--scale", "0.01"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        labels = {
+            line.split()[0]
+            for line in out[out.index("stage timings"):].splitlines()[2:]
+        }
+        assert {"simulate", "simulate.sched", "write.ras",
+                "write.job"} <= labels
 
     def test_demo_with_filter_thresholds(self, capsys):
         rc = main(

@@ -1,89 +1,69 @@
-"""StageTimer/render_timings: rates, zero-duration stages, wide labels,
-and the tracer bridge."""
+"""The one timing primitive: ``maybe_span`` stages and the ``--timings``
+span-tree rendering."""
 
-import math
-
-from repro.obs import Tracer
-from repro.perf import StageTimer, StageTiming, render_timings
+from repro.obs import Tracer, current_span_id, maybe_span
+from repro.viz.trace import render_span_tree
 
 
-class TestRowsPerS:
-    def test_normal_rate(self):
-        t = StageTiming("s", wall_s=2.0, rows=100)
-        assert t.rows_per_s == 50.0
-
-    def test_no_rows_is_nan(self):
-        assert math.isnan(StageTiming("s", wall_s=1.0).rows_per_s)
-
-    def test_zero_duration_is_nan(self):
-        # a stage can finish inside one clock tick; the rate must not
-        # divide by zero or render as "inf"
-        assert math.isnan(StageTiming("s", wall_s=0.0, rows=100).rows_per_s)
-
-    def test_render_matches_nan_semantics(self):
-        out = render_timings([
-            StageTiming("instant", wall_s=0.0, rows=100),
-            StageTiming("counted", wall_s=2.0, rows=100),
-            StageTiming("uncounted", wall_s=1.0),
-        ])
-        lines = {line.split()[0]: line for line in out.splitlines()}
-        assert lines["instant"].rstrip().endswith("-")
-        assert lines["counted"].rstrip().endswith("50")
-        assert lines["uncounted"].rstrip().endswith("-")
-        assert "inf" not in out
+def _record(name, wall_s, parent=None, span_id=1, note=""):
+    return {
+        "id": span_id, "parent": parent, "name": name, "start_s": 0.0,
+        "wall_s": wall_s, "cpu_s": 0.0, "rows": 10, "note": note,
+    }
 
 
 class TestRenderWidth:
     def test_long_labels_widen_the_column(self):
         long = "a.particularly.long.stage.name.well.past.the.default"
-        out = render_timings([
-            StageTiming(long, wall_s=0.5, rows=10),
-            StageTiming("short", wall_s=0.5, rows=10),
+        out = render_span_tree([
+            _record("run", 1.0, span_id=1),
+            _record(long, 0.5, parent=1, span_id=2),
+            _record("short", 0.5, parent=1, span_id=3),
         ])
-        header, first, second, total = out.splitlines()[1:]
-        width = len(long)
-        # every row pads the stage column to the longest label
-        assert first.startswith(long + " ")
-        assert second.startswith("short".ljust(width) + " ")
-        assert total.startswith("total".ljust(width) + " ")
-        assert header.startswith("stage".ljust(width) + " ")
+        header, root, first, second = out.splitlines()[1:]
+        width = len("  " + long)
+        # every row pads the span column to the longest (indented) label
+        assert first.startswith("  " + long + " ")
+        assert second.startswith("  short".ljust(width) + " ")
+        assert root.startswith("run".ljust(width) + " ")
+        assert header.startswith("span".ljust(width) + " ")
 
     def test_note_counts_toward_width(self):
         label = "stage.with.a.long.note"
         note = "forty.two.workers.on.a.rainy.day"
-        out = render_timings([StageTiming(label, 0.1, note=note)])
+        out = render_span_tree([_record(label, 0.1, note=note)])
         assert f"{label}[{note}]" in out
 
 
 class TestTracerBridge:
     def test_stage_records_and_spans(self):
         tracer = Tracer()
-        timer = StageTimer()
         with tracer.activate(root="run"):
-            with timer.stage("work") as st:
-                st.rows = 5
-                st.note = "cached"
-        (timing,) = timer.timings
-        assert (timing.stage, timing.rows, timing.note) == (
-            "work", 5, "cached"
-        )
+            with maybe_span("work") as sp:
+                sp.rows = 5
+                sp.note = "cached"
         span = next(s for s in tracer.spans if s.name == "work")
         assert (span.rows, span.note) == (5, "cached")
-        assert abs(span.wall_s - timing.wall_s) < 1e-9
+        assert span.wall_s >= 0.0
 
     def test_stage_without_tracer_unchanged(self):
-        timer = StageTimer()
-        with timer.stage("plain") as st:
-            st.rows = 3
-        (timing,) = timer.timings
-        assert timing.rows == 3 and timing.wall_s >= 0.0
+        # no tracer: the body still gets a writable span, but it is
+        # detached — nothing is timed, recorded or made current
+        with maybe_span("plain", note="n", key=1) as sp:
+            assert current_span_id() is None
+            sp.rows = 3
+            sp.note = "written"
+            sp.attrs["extra"] = True
+        assert (sp.name, sp.rows, sp.note) == ("plain", 3, "written")
+        assert sp.attrs == {"key": 1, "extra": True}
+        assert sp.wall_s == 0.0
 
     def test_nested_stages_nest_spans(self):
         tracer = Tracer()
-        timer = StageTimer()
         with tracer.activate(root="run"):
-            with timer.stage("outer"):
-                with timer.stage("inner"):
+            with maybe_span("outer"):
+                with maybe_span("inner"):
                     pass
         by_name = {s.name: s for s in tracer.spans}
         assert by_name["inner"].parent_id == by_name["outer"].span_id
+        assert by_name["outer"].parent_id == by_name["run"].span_id
